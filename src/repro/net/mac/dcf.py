@@ -15,8 +15,14 @@ Models the parts of DCF the paper's evaluation hinges on:
   duration.
 * **EIFS** after corrupted receptions.
 
-The implementation is a freeze/resume backoff machine driven by channel
-busy/idle callbacks from :class:`~repro.net.phy.PhyRadio`.
+The implementation is a freeze/resume backoff machine.  Only a MAC in
+``CONTEND`` can act on a carrier edge (DIFS and slot timers are armed
+only there), so it subscribes as the PHY's ``carrier_listener`` for
+exactly that state and receives busy/idle callbacks from
+:class:`~repro.net.phy.PhyRadio`; every other state pulls
+``phy.carrier_busy`` / ``last_reception_corrupted`` when it next
+contends.  With ~90 radios per AGFW broadcast this keeps the callback
+volume proportional to the contending stations, not to the fan-out.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.phy import PhyRadio
 
 __all__ = ["DcfMac", "MacState", "TxOp"]
+
+_BROADCAST_VALUE = BROADCAST.value
 
 ReceiveCallback = Callable[[Packet, MacFrame], None]
 CompleteCallback = Callable[[bool], None]
@@ -192,7 +200,7 @@ class DcfMac:
         if not self._queue:
             return
         self._op = self._queue.popleft()
-        self._state = MacState.CONTEND
+        self._set_state(MacState.CONTEND)
         op = self._op
         if op.fresh and not self._medium_blocked():
             op.backoff_slots = 0  # idle medium: transmit right after DIFS
@@ -206,7 +214,7 @@ class DcfMac:
 
     def _try_contend(self) -> None:
         """(Re)enter the DIFS-then-backoff sequence if the channel allows."""
-        self._cancel(("_difs_timer", "_slot_timer"))
+        self._cancel_backoff()
         if self._state is not MacState.CONTEND or self._op is None:
             return
         if self.phy.carrier_busy:
@@ -251,11 +259,12 @@ class DcfMac:
             self._schedule_slot()
 
     def on_channel_busy(self) -> None:
-        """PHY callback: freeze DIFS/backoff timers."""
-        self._cancel(("_difs_timer", "_slot_timer"))
+        """PHY callback while contending: freeze DIFS/backoff timers."""
+        self._cancel_backoff()
 
     def on_channel_idle(self) -> None:
-        """PHY callback: resume contention (also fires after own TX ends)."""
+        """PHY callback while contending: resume contention (also fires
+        after own TX ends)."""
         if self._state is MacState.CONTEND:
             self._try_contend()
 
@@ -270,22 +279,26 @@ class DcfMac:
         is cleared by ``on_fault_down``), so nobody is alive to react.
         """
         self.down = True
-        self._cancel(("_difs_timer", "_slot_timer", "_wait_timer", "_nav_timer"))
+        self._cancel_backoff()
+        self._cancel_wait()
+        if self._nav_timer is not None:
+            self._nav_timer.cancel()
+            self._nav_timer = None
         dropped = len(self._queue) + (1 if self._op is not None else 0)
         if dropped:
             self.stats.down_drops += dropped
         self._queue.clear()
         self._op = None
-        self._state = MacState.IDLE
+        self._set_state(MacState.IDLE)
         self._cw = self.params.cw_min
         self._nav_until = 0.0
 
     def on_node_up(self) -> None:
         """Node rebooted: resume from pristine (empty) MAC state.
 
-        :meth:`on_node_down` already reset everything; carrier state is
-        re-learned from the PHY's live energy bookkeeping on the next
-        busy/idle transition.
+        :meth:`on_node_down` already reset everything, including the
+        carrier subscription; carrier state is pulled from the PHY's live
+        energy bookkeeping when the MAC next contends.
         """
         self.down = False
 
@@ -293,7 +306,7 @@ class DcfMac:
     def _transmit_current(self) -> None:
         op = self._op
         assert op is not None
-        self._cancel(("_difs_timer", "_slot_timer"))
+        self._cancel_backoff()
         if op.use_rts:
             self._send_rts(op)
         else:
@@ -306,7 +319,7 @@ class DcfMac:
         self.phy.transmit(frame, duration)
         self.stats.rts_tx += 1
         self.stats.bytes_tx += self.params.rts_bytes
-        self._state = MacState.WAIT_CTS
+        self._set_state(MacState.WAIT_CTS)
         self._wait_timer = self.sim.schedule(
             duration + self.params.cts_timeout, self._on_cts_timeout, name="mac.cts_to"
         )
@@ -335,11 +348,11 @@ class DcfMac:
             )
         if op.is_broadcast:
             # Fire-and-forget: done when the frame leaves the antenna.
-            self._state = MacState.IDLE
+            self._set_state(MacState.IDLE)
             self.sim.schedule(duration, lambda: self._complete(op, True), name="mac.bcast_done")
             self._op = None
         else:
-            self._state = MacState.WAIT_ACK
+            self._set_state(MacState.WAIT_ACK)
             self._wait_timer = self.sim.schedule(
                 duration + self.params.ack_timeout, self._on_ack_timeout, name="mac.ack_to"
             )
@@ -375,15 +388,21 @@ class DcfMac:
         self._cw = min((self._cw + 1) * 2 - 1, self.params.cw_max)
         op.fresh = False
         op.backoff_slots = self.rng.randint(0, self._cw)
-        self._state = MacState.CONTEND
+        self._set_state(MacState.CONTEND)
         self._try_contend()
 
     # ============================================================= reception
     def on_frame(self, frame: MacFrame, tx) -> None:
         """PHY delivered an uncorrupted frame that was in radio range."""
         kind = frame.kind
+        dst = frame.dst.value
+        if kind is FrameKind.DATA and dst == _BROADCAST_VALUE:
+            # Every AGFW frame: no ACK, no NAV (a broadcast carries none).
+            self._deliver_up(frame)
+            return
+        to_me = dst == self.address.value
         if kind is FrameKind.RTS:
-            if frame.dst == self.address:
+            if to_me:
                 cts_nav = max(
                     0.0,
                     frame.nav
@@ -394,22 +413,23 @@ class DcfMac:
             else:
                 self._set_nav(frame.nav)
         elif kind is FrameKind.CTS:
-            if frame.dst == self.address and self._state is MacState.WAIT_CTS:
-                self._cancel(("_wait_timer",))
-                self.sim.schedule(self.params.sifs, self._send_data_after_cts, name="mac.sifs_data")
-            elif frame.dst != self.address:
+            if to_me:
+                if self._state is MacState.WAIT_CTS:
+                    self._cancel_wait()
+                    self.sim.schedule(
+                        self.params.sifs, self._send_data_after_cts, name="mac.sifs_data"
+                    )
+            else:
                 self._set_nav(frame.nav)
         elif kind is FrameKind.DATA:
-            if frame.dst == self.address:
+            if to_me:
                 self._respond(self._make_frame(FrameKind.ACK, frame.src))
-                self._deliver_up(frame)
-            elif frame.dst.is_broadcast:
                 self._deliver_up(frame)
             else:
                 self._set_nav(frame.nav)
         elif kind is FrameKind.ACK:
-            if frame.dst == self.address and self._state is MacState.WAIT_ACK:
-                self._cancel(("_wait_timer",))
+            if to_me and self._state is MacState.WAIT_ACK:
+                self._cancel_wait()
                 op = self._op
                 assert op is not None
                 self._finish_op(op, True)
@@ -437,7 +457,7 @@ class DcfMac:
         def _fire() -> None:
             if self.down:  # crashed between reception and the SIFS response
                 return
-            if self.phy._own_tx is not None:  # half-duplex clash; response lost
+            if self.phy.transmitting:  # half-duplex clash; response lost
                 return
             duration = frame.duration(self.params)
             self.phy.transmit(frame, duration)
@@ -456,12 +476,12 @@ class DcfMac:
         until = self.sim.now + nav
         if until > self._nav_until:
             self._nav_until = until
-        self._cancel(("_difs_timer", "_slot_timer"))
+        self._cancel_backoff()
 
     # ============================================================ completion
     def _finish_op(self, op: TxOp, success: bool) -> None:
         self._op = None
-        self._state = MacState.IDLE
+        self._set_state(MacState.IDLE)
         self._cw = self.params.cw_min
         self._complete(op, success)
         self._start_next()
@@ -475,12 +495,26 @@ class DcfMac:
             self._start_next()
 
     # ================================================================= misc
-    def _cancel(self, names: tuple[str, ...]) -> None:
-        for name in names:
-            timer: Optional[Event] = getattr(self, name)
-            if timer is not None:
-                timer.cancel()
-                setattr(self, name, None)
+    def _set_state(self, state: MacState) -> None:
+        """Enter ``state``, holding the PHY's carrier subscription exactly
+        while contending (every state change goes through here)."""
+        self._state = state
+        self.phy.carrier_listener = self if state is MacState.CONTEND else None
+
+    def _cancel_backoff(self) -> None:
+        timer = self._difs_timer
+        if timer is not None:
+            timer.cancel()
+            self._difs_timer = None
+        timer = self._slot_timer
+        if timer is not None:
+            timer.cancel()
+            self._slot_timer = None
+
+    def _cancel_wait(self) -> None:
+        if self._wait_timer is not None:
+            self._wait_timer.cancel()
+            self._wait_timer = None
 
     def _trace(self, category: str, **data) -> None:
         if self.tracer is not None:

@@ -7,6 +7,13 @@ carrier-sense state to the MAC.
 Half-duplex: a radio that transmits cannot receive, and starting a
 transmission corrupts anything it was in the middle of receiving.
 
+Carrier edges: a busy edge (first impinging energy) and an idle edge
+(channel released) go only to :attr:`PhyRadio.carrier_listener`, which a
+DCF MAC sets exactly while it contends — the only state in which an edge
+can change what it does.  Every other MAC pulls :attr:`carrier_busy` /
+:attr:`last_reception_corrupted` when it next contends; :attr:`mac`
+still receives every delivered frame.
+
 Fault hooks (both absent by default — the seed code path is unchanged):
 
 * an optional per-receiver **channel loss process**
@@ -14,9 +21,10 @@ Fault hooks (both absent by default — the seed code path is unchanged):
   in event order, and can eat it — modelling fading/shadowing losses
   the unit-disk collision model cannot produce;
 * a **down** flag (set by :meth:`repro.net.node.Node.fail`) makes the
-  radio genuinely deaf and mute: nothing is delivered and the MAC gets
-  no carrier callbacks, while impinging-energy bookkeeping still runs
-  so carrier state is correct the instant the node recovers.
+  radio genuinely deaf and mute: nothing is delivered, and the crashed
+  MAC holds no carrier subscription, while impinging-energy bookkeeping
+  still runs so carrier state is correct when the rebooted MAC next
+  pulls it.
 """
 
 from __future__ import annotations
@@ -62,6 +70,9 @@ class PhyRadio:
         self.mobility = mobility
         self.tracer = tracer
         self.mac: Optional["DcfMac"] = None
+        #: The MAC that receives busy/idle edges; ``None`` while it is
+        #: not contending (it then pulls carrier state instead).
+        self.carrier_listener: Optional["DcfMac"] = None
 
         # Reception bookkeeping comes in two shapes sharing one dict (so
         # ``carrier_busy`` is representation-agnostic): unpooled, the
@@ -114,6 +125,11 @@ class PhyRadio:
         return bool(self._impinging) or self._own_tx is not None
 
     @property
+    def transmitting(self) -> bool:
+        """True while this radio's own transmission is on the air."""
+        return self._own_tx is not None
+
+    @property
     def last_reception_corrupted(self) -> bool:
         """True when the most recent channel-release followed a collision.
 
@@ -138,8 +154,9 @@ class PhyRadio:
 
     def end_transmit(self, tx: "Transmission") -> None:
         self._own_tx = None
-        if not self._impinging and self.mac is not None and not self.down:
-            self.mac.on_channel_idle()
+        listener = self.carrier_listener
+        if listener is not None and not self._impinging:
+            listener.on_channel_idle()
 
     # ------------------------------------------------------------ reception
     def on_tx_start(self, tx: "Transmission", distance: Optional[float] = None) -> None:
@@ -201,8 +218,10 @@ class PhyRadio:
                     self._corrupted.add(tx.uid)
             self._impinging[tx.uid] = tx
             self._distances[tx.uid] = new_distance
-        if was_idle and self.mac is not None and not self.down:
-            self.mac.on_channel_busy()
+        if was_idle:
+            listener = self.carrier_listener
+            if listener is not None:
+                listener.on_channel_busy()
 
     def on_tx_end(self, tx: "Transmission") -> None:
         if self._pooled:
@@ -224,8 +243,8 @@ class PhyRadio:
             self._corrupted.discard(tx.uid)
 
         if self.down:
-            # A dead radio decodes nothing and owes the MAC no carrier
-            # callbacks.  The energy bookkeeping above still ran, so
+            # A dead radio decodes nothing (and its reset MAC is not
+            # listening).  The energy bookkeeping above still ran, so
             # carrier_busy is correct the instant the node recovers — and
             # the loss process is *not* consulted: its stream position is
             # a pure function of receptions judged while alive.
@@ -275,6 +294,6 @@ class PhyRadio:
             # transmission that was merely sensed (out of radio range) is
             # plain channel noise and releases with a normal DIFS.
             self._last_ended_corrupted = deliverable and corrupted
-            mac = self.mac
-            if mac is not None:
-                mac.on_channel_idle()
+            listener = self.carrier_listener
+            if listener is not None:
+                listener.on_channel_idle()

@@ -39,8 +39,11 @@ def _received(radio):
     class _Mac:
         def on_frame(self, frame, tx):
             got.append(frame)
-        def on_channel_busy(self): ...
-        def on_channel_idle(self): ...
+        # Never the radio's carrier_listener, so the PHY owes it no edges.
+        def on_channel_busy(self):
+            raise AssertionError("busy edge delivered to an unsubscribed MAC")
+        def on_channel_idle(self):
+            raise AssertionError("idle edge delivered to an unsubscribed MAC")
     radio.mac = _Mac()
     return got
 
@@ -190,3 +193,91 @@ def test_phy_tx_trace_emitted():
     assert len(records) == 1
     assert records[0].data["packet_kind"] == "blob"
     assert records[0].data["pos"] == (0.0, 0.0)
+
+
+# ------------------------------------------------------------ carrier edges
+class _Edges:
+    """A carrier listener that records the edges it receives."""
+
+    def __init__(self):
+        self.edges = []
+
+    def on_channel_busy(self):
+        self.edges.append("busy")
+
+    def on_channel_idle(self):
+        self.edges.append("idle")
+
+
+def test_listener_gets_one_busy_and_one_idle_edge():
+    sim = Simulator()
+    medium = RadioMedium(sim)
+    a = _radio(sim, medium, 0, 0)
+    b = _radio(sim, medium, 1, 400)
+    rx = _radio(sim, medium, 2, 200)
+    rx.carrier_listener = listener = _Edges()
+    a.transmit(_frame(0), 0.002)
+    sim.schedule(0.001, lambda: b.transmit(_frame(1), 0.002))  # overlaps a's frame
+    sim.run()
+    assert listener.edges == ["busy", "idle"]
+    assert not rx.carrier_busy
+
+
+def test_unsubscribed_macs_get_frames_but_no_edges():
+    sim = Simulator()
+    medium = RadioMedium(sim)
+    tx = _radio(sim, medium, 0, 0)
+    rx = _radio(sim, medium, 1, 100)
+    got = _received(rx)
+    _received(tx)  # the sender's own end_transmit owes it no edge either
+    tx.transmit(_frame(0), 0.001)
+    sim.run()
+    assert len(got) == 1
+
+
+def test_listener_subscribing_mid_busy_gets_the_idle_edge():
+    sim = Simulator()
+    medium = RadioMedium(sim)
+    tx = _radio(sim, medium, 0, 0)
+    rx = _radio(sim, medium, 1, 100)
+    listener = _Edges()
+
+    def _subscribe():
+        assert rx.carrier_busy
+        rx.carrier_listener = listener
+
+    tx.transmit(_frame(0), 0.002)
+    sim.schedule(0.001, _subscribe)
+    sim.run()
+    assert listener.edges == ["idle"]
+
+
+def test_own_end_transmit_delivers_idle_edge_to_late_subscriber():
+    sim = Simulator()
+    medium = RadioMedium(sim)
+    tx = _radio(sim, medium, 0, 0)
+    listener = _Edges()
+
+    def _start_contending():
+        assert tx.transmitting
+        tx.carrier_listener = listener
+
+    tx.transmit(_frame(0), 0.002)
+    sim.schedule(0.001, _start_contending)
+    sim.run()
+    assert listener.edges == ["idle"]
+    assert not tx.transmitting
+
+
+def test_own_end_transmit_withholds_idle_edge_while_energy_remains():
+    sim = Simulator()
+    medium = RadioMedium(sim)
+    a = _radio(sim, medium, 0, 0)
+    b = _radio(sim, medium, 1, 100)
+    a.carrier_listener = listener = _Edges()
+    a.transmit(_frame(0), 0.002)
+    sim.schedule(0.001, lambda: b.transmit(_frame(1), 0.002))
+    sim.run()
+    # b's energy arrives mid-transmission (no busy edge: a was already
+    # busy with its own frame); a's release waits for b's frame to end.
+    assert listener.edges == ["idle"]
