@@ -74,7 +74,8 @@ class AnonymousNeighborTable:
 
     def purge(self, now: float) -> int:
         """Drop expired rows; returns the count removed."""
-        dead = [n for n, e in self._entries.items() if e.age(now) > self.timeout]
+        timeout = self.timeout
+        dead = [n for n, e in self._entries.items() if now - e.timestamp > timeout]
         for pseudonym in dead:
             del self._entries[pseudonym]
         return len(dead)
@@ -96,13 +97,24 @@ class AnonymousNeighborTable:
         self, target: Position, own_position: Position, now: float
     ) -> List[AntEntry]:
         """Live entries whose position is strictly closer to ``target``
-        than we are — the greedy candidate set a strategy chooses from."""
+        than we are — the greedy candidate set a strategy chooses from.
+
+        One pass over the rows, with exactly the float operations of
+        :meth:`entries` (``now - timestamp <= timeout``) and
+        :meth:`Position.distance2_to`.
+        """
         own_d2 = own_position.distance2_to(target)
-        return [
-            e
-            for e in self.entries(now)
-            if e.position.distance2_to(target) < own_d2
-        ]
+        tx, ty = target.x, target.y
+        timeout = self.timeout
+        found: List[AntEntry] = []
+        for e in self._entries.values():
+            if now - e.timestamp <= timeout:
+                p = e.position
+                dx = p.x - tx
+                dy = p.y - ty
+                if dx * dx + dy * dy < own_d2:
+                    found.append(e)
+        return found
 
     def __len__(self) -> int:
         return len(self._entries)

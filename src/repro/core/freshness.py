@@ -61,14 +61,23 @@ def freshest_progress(
         return None
     tau = max(timeout / 3.0, 1e-9)
     own_d = math.sqrt(own_position.distance2_to(target))
-
-    def score(entry: AntEntry) -> float:
-        predicted = entry.predicted_position(now)
-        progress = own_d - math.sqrt(predicted.distance2_to(target))
-        return progress * math.exp(-entry.age(now) / tau)
-
-    best = max(candidates, key=score)
-    if score(best) > 0:
+    tx, ty = target.x, target.y
+    sqrt, exp = math.sqrt, math.exp
+    # One scoring pass, dead-reckoning inline with the float operations
+    # of AntEntry.predicted_position and Position.distance2_to; a strict
+    # ">" keeps max()'s first-maximum tie rule.
+    best: Optional[AntEntry] = None
+    best_score = 0.0
+    for entry in candidates:
+        age = now - entry.timestamp
+        vx, vy = entry.velocity
+        p = entry.position
+        dx = (p.x + vx * age) - tx
+        dy = (p.y + vy * age) - ty
+        score = (own_d - sqrt(dx * dx + dy * dy)) * exp(-age / tau)
+        if best is None or score > best_score:
+            best, best_score = entry, score
+    if best_score > 0:
         return best
     # Prediction says nobody makes progress; trust advertised positions.
     return best_position(own_position, target, candidates, now, timeout)

@@ -530,6 +530,7 @@ class Scenario:
         self.sim.run(until=self.config.sim_time)
         if self.fault_injector is not None:
             self.fault_injector.finalize(self.sim.now)
+        self.medium.check_reception_ledger()
         wallclock = _wall.perf_counter() - started
 
         totals = RouterStats()

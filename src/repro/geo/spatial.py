@@ -41,9 +41,9 @@ lazily:
   belt-and-braces bound for long-lived indexes.
 
 Candidates are returned sorted by registration order, which is exactly
-the iteration order of the brute-force radio list — so downstream
-per-radio callbacks (``on_tx_start``) fire in an identical order and
-the simulation stays bit-identical.
+the iteration order of the brute-force radio list — so the medium's
+reception records, and the per-radio callbacks it makes from them, come
+out in an identical order and the simulation stays bit-identical.
 """
 
 from __future__ import annotations

@@ -357,9 +357,12 @@ class DcfMac:
                 duration + self.params.ack_timeout, self._on_ack_timeout, name="mac.ack_to"
             )
 
-    def _send_data_after_cts(self) -> None:
-        op = self._op
-        if op is None:
+    def _send_data_after_cts(self, op: TxOp) -> None:
+        """SIFS after a CTS: send the DATA of the op whose RTS it answered.
+
+        The event outlives a crash, so a rebooted MAC that has moved on
+        (a new op, or any state but ``WAIT_CTS``) must not send."""
+        if self._op is not op or self._state is not MacState.WAIT_CTS:
             return
         self._send_data(op)
 
@@ -416,8 +419,12 @@ class DcfMac:
             if to_me:
                 if self._state is MacState.WAIT_CTS:
                     self._cancel_wait()
+                    op = self._op
+                    assert op is not None
                     self.sim.schedule(
-                        self.params.sifs, self._send_data_after_cts, name="mac.sifs_data"
+                        self.params.sifs,
+                        lambda: self._send_data_after_cts(op),
+                        name="mac.sifs_data",
                     )
             else:
                 self._set_nav(frame.nav)

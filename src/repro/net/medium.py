@@ -15,6 +15,24 @@ Node positions are sampled once per frame at transmission start; frames
 last << 10 ms while nodes move <= 20 m/s, so intra-frame motion is
 negligible.
 
+Reception records
+-----------------
+Every transmission is one :class:`Transmission` record owned by the
+medium: the distance to every radio it reaches (``rx``), the radios that
+can decode it (``deliverable``), and the records it overlapped in time.
+Radios keep no per-reception state.  Carrier sense is "transmitting, or
+some active record reaches me"; a copy's capture and half-duplex verdict
+is taken once, when its record ends, from the overlaps.  So a radio is
+called only when it has something to do: at the start of a record the
+contending radios it reaches get
+:meth:`~repro.net.phy.PhyRadio.on_tx_start` (their busy edge), and at its
+end the deliverable radios plus the contending or EIFS-flagged radios it
+reaches get :meth:`~repro.net.phy.PhyRadio.on_tx_end`, merged in
+registration order.  A record leaves the active set at the start of its
+``phy.tx_end`` event, and no transmission may start inside that event
+(asserted), which is what makes the batched verdicts equal to the
+incremental per-radio bookkeeping they replace.
+
 Fan-out cost
 ------------
 AGFW traffic is broadcast-only at the MAC (no RTS/CTS), so per-frame
@@ -37,25 +55,26 @@ the same byte-identical discipline:
 * ``spatial_mode`` — ``"obj"`` keeps the object-graph index above;
   ``"array"`` swaps in :class:`repro.geo.spatial_array.ArraySpatialIndex`
   (numpy batch kernels; the whole fan-out classified in a few ufunc
-  sweeps) and feeds each receiver its precomputed sender distance;
+  sweeps) whose deltas give each record's distances;
   ``"cross"`` runs the array path and verifies the full classification —
   membership, order, deliverability, and bitwise distances — against the
   scalar object computation on every transmission.  Falls back to
   ``"obj"`` when numpy is unavailable or ``index_mode="brute"`` pins the
   reference scan.
-* ``pool_mode`` — ``"off"`` allocates per transmission as always;
-  ``"on"`` recycles MAC frames through a :class:`repro.net.pool.FramePool`
-  and consolidates each radio's reception bookkeeping into pooled
-  records; ``"cross"`` additionally scrub-verifies every object across
-  the free boundary.
+* ``pool_mode`` — ``"off"`` allocates a MAC frame per transmission;
+  ``"on"`` recycles MAC frames through a :class:`repro.net.pool.FramePool`;
+  ``"cross"`` additionally scrub-verifies every frame across the free
+  boundary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import compress, repeat
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geo import vecops
 from repro.geo.spatial import SpatialIndex
@@ -74,6 +93,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Transmission",
     "RadioMedium",
+    "ReceptionLedgerError",
     "INDEX_MODES",
     "SPATIAL_MODES",
     "SpatialCoherenceError",
@@ -99,12 +119,17 @@ class SpatialCoherenceError(AssertionError):
     """The vectorized fan-out diverged from the scalar object path."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transmission:
-    """One frame in flight.
+    """One frame in flight: the medium's reception record for it.
 
-    ``deliverable_to`` / ``corrupted_at`` are node-id *sets* — membership
-    is the only question receivers ever ask.
+    ``rx`` maps the registration row of every radio the frame reaches
+    (within interference range) to that radio's distance from the
+    sender, in registration order; ``deliverable`` lists the radios
+    within radio range, also in registration order.  ``overlaps`` holds
+    every record on the air at the same time: those active when this one
+    started, plus those that start before it ends.  Identity semantics
+    (``eq=False``): records are compared and removed by object.
     """
 
     uid: int
@@ -113,20 +138,25 @@ class Transmission:
     frame: MacFrame
     start: float
     end: float
-    corrupted_at: Set[int] = field(default_factory=set)
-    deliverable_to: Set[int] = field(default_factory=set)
+    rx: Dict[int, float]
+    deliverable: Sequence["PhyRadio"]
+    overlaps: List["Transmission"] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
+class ReceptionLedgerError(AssertionError):
+    """Deliverable copies put on the air do not add up to their fates."""
+
+
 class RadioMedium:
     """Connects all :class:`~repro.net.phy.PhyRadio` instances.
 
-    The medium owns range semantics; radios own per-receiver reception
-    state.  ``transmit`` is called by a radio that has already won its
-    MAC-level contention.
+    The medium owns range semantics and every reception record; radios
+    own only their transmit state and counters.  ``transmit`` is called
+    by a radio that has already won its MAC-level contention.
     """
 
     def __init__(
@@ -158,12 +188,23 @@ class RadioMedium:
         self._radio_range2 = radio_range * radio_range
         self._interference_range2 = interference_range * interference_range
         self.frames_sent = 0
+        #: Deliverable copies put on the air (the reception ledger's total).
+        self.copies_on_air = 0
         # Per-medium so a second simulation in the same process restarts at
         # uid 1 and trace output stays identical run-to-run (previously a
         # module-global leaked state across Simulator instances).
         self._tx_uid = itertools.count(1)
-        #: Frame/reception pool; ``None`` (pool_mode="off") keeps every
-        #: consumer on the exact pre-pool allocation path.
+        #: Records on the air, in start order (read-only outside the medium).
+        self.active: List[Transmission] = []
+        #: Radios whose ``carrier_listener`` is set (contending), by row.
+        self.listening: Dict[int, "PhyRadio"] = {}
+        #: Radios whose last channel release followed a corrupted
+        #: decodable frame (their MAC defers EIFS), by row.
+        self.eifs: Dict[int, "PhyRadio"] = {}
+        #: True while a ``phy.tx_end`` event runs (no transmission may start).
+        self._ending = False
+        #: Frame pool; ``None`` (pool_mode="off") keeps every consumer on
+        #: the exact pre-pool allocation path.
         self.frame_pool: Optional[FramePool] = (
             FramePool(pool_mode) if pool_mode != "off" else None
         )
@@ -184,20 +225,14 @@ class RadioMedium:
         if not use_array and index_mode != "brute":
             self._index = SpatialIndex(cell_size=cell, refresh_quantum=index_refresh_quantum)
         #: Static fan-out memo: sender node id -> (index version, sender
-        #: (x, y), affected radios in registration order, deliverable ids,
-        #: per-receiver distances — ``None`` on the object path, which
-        #: recomputes them in ``on_tx_start`` exactly as the seed did).
-        #: Consulted only while the index proves every radio static; any
-        #: membership change or teleport bumps the version and drops it.
+        #: (x, y), the record's ``rx`` and ``deliverable``).  Consulted
+        #: only while the index proves every radio static; any membership
+        #: change or teleport bumps the version and drops it.  Cached
+        #: containers are shared by every record built from them and
+        #: never mutated.
         self._fanout_memo: Dict[
             int,
-            Tuple[
-                int,
-                Tuple[float, float],
-                List["PhyRadio"],
-                FrozenSet[int],
-                Optional[List[float]],
-            ],
+            Tuple[int, Tuple[float, float], Dict[int, float], List["PhyRadio"]],
         ] = {}
         # Sharded execution (repro.sim.shard): when set, fan-out only
         # touches owned radios, transmission completion runs under
@@ -219,6 +254,8 @@ class RadioMedium:
         self._shard_bridge = bridge
 
     def register(self, radio: "PhyRadio") -> None:
+        """Add ``radio``; its registration index becomes ``radio.row``."""
+        radio.row = len(self._radios)
         self._radios.append(radio)
         if self._aindex is not None:
             self._aindex.add(radio, self.sim.now)
@@ -233,6 +270,13 @@ class RadioMedium:
         paths); callers must not mutate it.
         """
         return self._radios
+
+    def carrier_at(self, row: int) -> bool:
+        """True while some record on the air reaches the radio at ``row``."""
+        for tx in self.active:
+            if row in tx.rx:
+                return True
+        return False
 
     # ------------------------------------------------------------ candidates
     def _candidates(self, center: Position, rng: float) -> Sequence["PhyRadio"]:
@@ -266,6 +310,74 @@ class RadioMedium:
                 f"t={self.sim.now:.9f}: expected {expected}, got {got}"
             )
 
+    # --------------------------------------------------------------- fan-out
+    def _fanout(
+        self, sender: "PhyRadio", sender_pos: Position, fan: Optional[FanOut]
+    ) -> Tuple[Dict[int, float], List["PhyRadio"]]:
+        """A new record's ``rx`` and ``deliverable``: from the static memo,
+        the batched classification, or the scalar scan."""
+        index = self._aindex if self._aindex is not None else self._index
+        # -1 disables the memo (brute mode, or some radio can move); the
+        # index version is read *before* the gather, so a concurrent
+        # invalidation would make the stored stamp compare stale — never
+        # the reverse.
+        memo_version = index.version if index is not None and index.all_static else -1
+        pos_key = (sender_pos.x, sender_pos.y)
+        if memo_version >= 0:
+            cached = self._fanout_memo.get(sender.node_id)
+            if cached is not None and cached[0] == memo_version and cached[1] == pos_key:
+                return cached[2], cached[3]
+        if fan is None:
+            rx, deliverable = self._scalar_fanout(sender.node_id, sender_pos)
+        else:
+            radios = self._radios
+            owned = self._shard_owned
+            rows, fdx, fdy, fdel = fan.rows, fan.dx, fan.dy, fan.deliverable
+            # Scalar hypot on the batch-derived deltas: bitwise what
+            # own_pos.distance_to(sender_pos) computes on the object path,
+            # so capture ratios and loss draws see identical floats.
+            if owned is None:
+                rx = dict(zip(rows, map(math.hypot, fdx, fdy)))
+                deliverable = list(compress(map(radios.__getitem__, rows), fdel))
+            else:
+                rx = {}
+                deliverable = []
+                for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
+                    radio = radios[row]
+                    if radio.node_id in owned:
+                        rx[row] = math.hypot(dxv, dyv)
+                        if deliv:
+                            deliverable.append(radio)
+            if self.spatial_mode == "cross":
+                self._spatial_cross_check(sender, sender_pos, rx, fan)
+        if memo_version >= 0:
+            self._fanout_memo[sender.node_id] = (memo_version, pos_key, rx, deliverable)
+        return rx, deliverable
+
+    def _scalar_fanout(
+        self, sender_id: int, sender_pos: Position
+    ) -> Tuple[Dict[int, float], List["PhyRadio"]]:
+        """Scalar fan-out over the index candidates (object path and
+        mirrored ghosts), owned radios only when sharded."""
+        owned = self._shard_owned
+        radio_range2 = self._radio_range2
+        interference_range2 = self._interference_range2
+        rx: Dict[int, float] = {}
+        deliverable: List["PhyRadio"] = []
+        for radio in self._candidates(sender_pos, self.interference_range):
+            # Skips the sender (and, sharded, its dormant replica).
+            if radio.node_id == sender_id:
+                continue
+            if owned is not None and radio.node_id not in owned:
+                continue
+            pos = radio.position
+            d2 = pos.distance2_to(sender_pos)
+            if d2 <= interference_range2:
+                rx[radio.row] = pos.distance_to(sender_pos)
+                if d2 <= radio_range2:
+                    deliverable.append(radio)
+        return rx, deliverable
+
     # ------------------------------------------------------------- transmit
     def transmit(self, sender: "PhyRadio", frame: MacFrame, duration: float) -> Transmission:
         """Put ``frame`` on the air for ``duration`` seconds.
@@ -290,14 +402,6 @@ class RadioMedium:
             sender_pos = Position(fan.sx, fan.sy)
         else:
             sender_pos = sender.position
-        tx = Transmission(
-            uid=next(self._tx_uid),
-            sender_id=sender.node_id,
-            sender_pos=sender_pos,
-            frame=frame,
-            start=now,
-            end=now + duration,
-        )
         self.frames_sent += 1
         tracer = self.tracer
         # enabled_for guard: the phy.tx payload below is the biggest dict
@@ -317,137 +421,116 @@ class RadioMedium:
                 pos=sender_pos.as_tuple(),
                 duration=duration,
             )
-
-        sender.begin_transmit(tx)
-        radio_range2 = self._radio_range2
-        interference_range2 = self._interference_range2
-        owned = self._shard_owned
-        index = self._aindex if aindex is not None else self._index
-        # -1 disables the memo (brute mode, or some radio can move); the
-        # index version is read *before* the gather, so a concurrent
-        # invalidation would make the stored stamp compare stale — never
-        # the reverse.
-        memo_version = index.version if index is not None and index.all_static else -1
-        pos_key = (sender_pos.x, sender_pos.y)
-        cached = None
-        if memo_version >= 0:
-            cached = self._fanout_memo.get(sender.node_id)
-            if cached is not None and (cached[0] != memo_version or cached[1] != pos_key):
-                cached = None
-        if cached is not None:
-            affected = cached[2]
-            if cached[3]:
-                tx.deliverable_to.update(cached[3])
-            dists = cached[4]
-            if dists is None:
-                for radio in affected:
-                    radio.on_tx_start(tx)
-            else:
-                for radio, dist in zip(affected, dists):
-                    radio.on_tx_start(tx, dist)
-        elif fan is not None:
-            affected = []
-            radios = self._radios
-            deliverable = tx.deliverable_to
-            hypot = math.hypot
-            rows, fdx, fdy, fdel = fan.rows, fan.dx, fan.dy, fan.deliverable
-            # The distances list is only consumed by the static-fan-out
-            # memo and the cross check; mobile non-cross runs (the common
-            # hot case) skip collecting it entirely.
-            keep_dists = memo_version >= 0 or self.spatial_mode == "cross"
-            dists: Optional[List[float]] = [] if keep_dists else None
-            if keep_dists:
-                for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
-                    radio = radios[row]
-                    if owned is not None and radio.node_id not in owned:
-                        continue
-                    # Scalar hypot on the batch-derived deltas: bitwise
-                    # what own_pos.distance_to(sender_pos) computes on the
-                    # object path, so capture ratios and loss draws see
-                    # identical floats.
-                    dist = hypot(dxv, dyv)
-                    if deliv:
-                        deliverable.add(radio.node_id)
-                    radio.on_tx_start(tx, dist)
-                    affected.append(radio)
-                    dists.append(dist)
-            else:
-                for row, dxv, dyv, deliv in zip(rows, fdx, fdy, fdel):
-                    radio = radios[row]
-                    if owned is not None and radio.node_id not in owned:
-                        continue
-                    dist = hypot(dxv, dyv)
-                    if deliv:
-                        deliverable.add(radio.node_id)
-                    radio.on_tx_start(tx, dist)
-                    affected.append(radio)
-            if memo_version >= 0:
-                self._fanout_memo[sender.node_id] = (
-                    memo_version, pos_key, affected, frozenset(deliverable), dists
-                )
-            if self.spatial_mode == "cross":
-                self._spatial_cross_check(sender, sender_pos, affected, dists, fan)
-        else:
-            affected = []
-            for radio in self._candidates(sender_pos, self.interference_range):
-                if radio is sender:
-                    continue
-                if owned is not None and radio.node_id not in owned:
-                    continue
-                d2 = radio.position.distance2_to(sender_pos)
-                if d2 <= interference_range2:
-                    if d2 <= radio_range2:
-                        tx.deliverable_to.add(radio.node_id)
-                    radio.on_tx_start(tx)
-                    affected.append(radio)
-            if memo_version >= 0:
-                # affected is shared with the memo but never mutated in
-                # place (recomputes build a fresh list), so in-flight
-                # _finish closures stay correct across invalidation.
-                self._fanout_memo[sender.node_id] = (
-                    memo_version, pos_key, affected, frozenset(tx.deliverable_to), None
-                )
+        rx, deliverable = self._fanout(sender, sender_pos, fan)
         if self.index_mode == "cross":
-            self._cross_check(sender_pos, self.interference_range, affected, sender)
+            radios = self._radios
+            self._cross_check(
+                sender_pos, self.interference_range, [radios[row] for row in rx], sender
+            )
+        tx = Transmission(
+            next(self._tx_uid), sender.node_id, sender_pos, frame, now, now + duration,
+            rx, deliverable,
+        )
+        sender.begin_transmit(tx)
+        self._open(tx)
 
         pool = self.frame_pool
         keyed = self._shard_keyed
 
-        if keyed is None:
-
-            def _finish() -> None:
-                sender.end_transmit(tx)
-                for radio in affected:
-                    radio.on_tx_end(tx)
-                if pool is not None:
-                    # The frame's airtime is over and every receiver has
-                    # consumed it synchronously above — recycle it.
-                    pool.release_frame(frame)
-
-        else:
-
-            def _finish() -> None:
-                # Per-participant key scopes: the sender's completion and
-                # each receiver's reception draw causal keys independent
-                # of which subset of receivers this shard owns.  The
-                # sender tag (-1,) sorts before every node-id tag, and
-                # ``affected`` is in registration (node-id) order, so the
-                # scope order matches single-engine schedule order.
-                with keyed.key_scope(_SENDER_SCOPE, actor=tx.sender_id):
-                    sender.end_transmit(tx)
-                for radio in affected:
-                    with keyed.key_scope((radio.node_id,)):
-                        radio.on_tx_end(tx)
-                if pool is not None:
-                    pool.release_frame(frame)
+        def _finish() -> None:
+            self._complete(tx, sender, keyed)
+            if pool is not None:
+                # The frame's airtime is over and every receiver has
+                # consumed it synchronously above — recycle it.
+                pool.release_frame(frame)
 
         finish_event = self.sim.schedule(
             duration, _finish, priority=-1, name="phy.tx_end", actor=MEDIUM_ACTOR
         )
         bridge = self._shard_bridge
         if bridge is not None:
-            bridge.note_local_tx(tx, frame, affected, finish_event)
+            bridge.note_local_tx(tx, frame, finish_event)
         return tx
+
+    def _open(self, tx: Transmission) -> None:
+        """Put a record on the air: link it with every active record,
+        count its deliverable copies, and offer a busy edge to each
+        contending radio it reaches, in registration order."""
+        assert not self._ending, "a transmission started inside a phy.tx_end event"
+        active = self.active
+        tx.overlaps.extend(active)
+        for other in active:
+            other.overlaps.append(tx)
+        active.append(tx)
+        self.copies_on_air += len(tx.deliverable)
+        listening = self.listening
+        if listening:
+            rx = tx.rx
+            radios = self._radios
+            for row in sorted(row for row in listening if row in rx):
+                radios[row].on_tx_start(tx)
+
+    def _complete(
+        self,
+        tx: Transmission,
+        sender: Optional["PhyRadio"],
+        keyed: Optional["KeyedSimulator"],
+    ) -> None:
+        """A record's ``phy.tx_end``: take it off the air, release the
+        sender (``None`` for a mirrored ghost), then run each visited
+        radio's completion.
+
+        Sharded, every participant runs under its own key scope so it
+        draws causal keys independent of which receivers this shard
+        owns; the sender tag (-1,) sorts before every node-id tag and
+        visits come in registration (node-id) order, so the scope order
+        matches single-engine schedule order.  Radios with nothing to do
+        open no scope, which draws no keys (scopes restart their
+        counters).
+        """
+        self.active.remove(tx)
+        self._ending = True
+        try:
+            if sender is not None:
+                if keyed is None:
+                    sender.end_transmit(tx)
+                else:
+                    with keyed.key_scope(_SENDER_SCOPE, actor=tx.sender_id):
+                        sender.end_transmit(tx)
+            visits = self._visits(tx)
+            if keyed is None:
+                for radio, deliverable in visits:
+                    radio.on_tx_end(tx, deliverable)
+            else:
+                for radio, deliverable in visits:
+                    with keyed.key_scope((radio.node_id,)):
+                        radio.on_tx_end(tx, deliverable)
+        finally:
+            self._ending = False
+        # Finished records are only read through ``rx``/``sender_id`` by
+        # the records they overlapped; drop the links so they don't chain.
+        tx.overlaps.clear()
+
+    def _visits(self, tx: Transmission) -> Iterable[Tuple["PhyRadio", bool]]:
+        """``(radio, deliverable)`` for every radio the end of ``tx`` has
+        work for, in registration order: the deliverable radios, merged
+        with the contending or EIFS-flagged ones it reaches (the only
+        bystanders whose carrier release changes anything)."""
+        deliverable = tx.deliverable
+        listening = self.listening
+        rx = tx.rx
+        rows = [row for row in listening if row in rx]
+        rows.extend(row for row in self.eifs if row in rx and row not in listening)
+        radios = self._radios
+        extra = [row for row in rows if radios[row] not in deliverable]
+        if not extra:
+            return zip(deliverable, repeat(True))
+        visits = list(zip(deliverable, repeat(True)))
+        deliverable_rows = [radio.row for radio in deliverable]
+        # Insert from the highest row down so earlier positions hold.
+        for row in sorted(extra, reverse=True):
+            visits.insert(bisect_left(deliverable_rows, row), (radios[row], False))
+        return visits
 
     # --------------------------------------------------- ghost transmissions
     def apply_ghost_start(
@@ -457,64 +540,59 @@ class RadioMedium:
         frame: MacFrame,
         start: float,
         end: float,
-    ) -> Tuple[Transmission, List["PhyRadio"]]:
+    ) -> Transmission:
         """Mirror a remote shard's transmission onto our owned radios.
 
-        Reconstructs a :class:`Transmission` (its uid is local — uids are
-        deliberately outside the trace-equivalence contract, see DET-006)
-        and applies ``on_tx_start`` to every owned radio in range, with
-        the scalar distance recomputation that is bitwise-equal to the
-        owner shard's batched path.  Emits nothing and bumps no counters:
-        the owner already accounted for this frame.
+        Builds a record (its uid is local — uids are deliberately
+        outside the trace-equivalence contract, see DET-006) over every
+        owned radio in range, with the scalar distance computation that
+        is bitwise-equal to the owner shard's batched path, and puts it
+        on the air.  Emits nothing and bumps no trace counters: the owner
+        already accounted for this frame.
         """
+        rx, deliverable = self._scalar_fanout(sender_id, sender_pos)
         tx = Transmission(
-            uid=next(self._tx_uid),
-            sender_id=sender_id,
-            sender_pos=sender_pos,
-            frame=frame,
-            start=start,
-            end=end,
+            next(self._tx_uid), sender_id, sender_pos, frame, start, end, rx, deliverable
         )
-        owned = self._shard_owned
-        affected: List["PhyRadio"] = []
-        radio_range2 = self._radio_range2
-        interference_range2 = self._interference_range2
-        for radio in self._candidates(sender_pos, self.interference_range):
-            # The sender's dormant replica sits in our index too.
-            if radio.node_id == sender_id:
-                continue
-            if owned is not None and radio.node_id not in owned:
-                continue
-            d2 = radio.position.distance2_to(sender_pos)
-            if d2 <= interference_range2:
-                if d2 <= radio_range2:
-                    tx.deliverable_to.add(radio.node_id)
-                radio.on_tx_start(tx)
-                affected.append(radio)
-        return tx, affected
+        self._open(tx)
+        return tx
 
-    def apply_ghost_finish(self, tx: Transmission, affected: List["PhyRadio"]) -> None:
+    def apply_ghost_finish(self, tx: Transmission) -> None:
         """Complete a mirrored transmission (receiver side only).
 
         Runs at the owner's ``phy.tx_end`` key, so each receiver scope
         draws exactly the keys the single engine would."""
         keyed = self._shard_keyed
         assert keyed is not None
-        for radio in affected:
-            with keyed.key_scope((radio.node_id,)):
-                radio.on_tx_end(tx)
+        self._complete(tx, None, keyed)
+
+    # -------------------------------------------------------------- ledger
+    def check_reception_ledger(self) -> None:
+        """Raise :class:`ReceptionLedgerError` unless every deliverable
+        copy put on the air was delivered, collided, impaired, missed
+        while its radio was down, or is still in flight."""
+        settled = sum(
+            r.frames_delivered + r.frames_collided + r.frames_impaired + r.frames_down
+            for r in self._radios
+        )
+        in_flight = sum(len(tx.deliverable) for tx in self.active)
+        if settled + in_flight != self.copies_on_air:
+            raise ReceptionLedgerError(
+                f"{self.copies_on_air} deliverable copies went on the air but "
+                f"{settled} were settled and {in_flight} are in flight"
+            )
 
     def _spatial_cross_check(
         self,
         sender: "PhyRadio",
         sender_pos: Position,
-        affected: List["PhyRadio"],
-        dists: List[float],
+        rx: Dict[int, float],
         fan: FanOut,
     ) -> None:
-        """spatial_mode="cross": verify the batched classification against
-        the scalar object computation — membership, order, deliverability,
-        and *bitwise* sender position and distances."""
+        """spatial_mode="cross": verify the batched classification (and the
+        record's ``rx`` built from it) against the scalar object
+        computation — membership, order, deliverability, and *bitwise*
+        sender position and distances."""
         ref = sender.position
         if (ref.x, ref.y) != (sender_pos.x, sender_pos.y):
             raise SpatialCoherenceError(
@@ -531,7 +609,11 @@ class RadioMedium:
                 expected.append(
                     (radio, rpos.distance_to(sender_pos), d2 <= self._radio_range2)
                 )
-        got = list(zip(affected, dists, fan.deliverable))
+        radios = self._radios
+        got = [
+            (radios[row], dist, deliv)
+            for (row, dist), deliv in zip(rx.items(), fan.deliverable)
+        ]
         if len(expected) != len(got) or any(
             e[0] is not g[0] or e[1] != g[1] or e[2] != g[2]
             for e, g in zip(expected, got)

@@ -1,11 +1,23 @@
 """Per-node radio (PHY layer).
 
-Tracks which transmissions currently impinge on this node, decides
-reception outcomes (delivered / collided / out of range), and exposes
-carrier-sense state to the MAC.
+Decides reception outcomes (delivered / collided / impaired) and exposes
+carrier-sense state to the MAC.  The radio keeps no per-reception state:
+every transmission is one reception record owned by the
+:class:`~repro.net.medium.RadioMedium`, which calls a radio only when it
+has something to do:
+
+* :meth:`PhyRadio.on_tx_start` when a record starts reaching a radio
+  whose MAC contends — a busy edge if the carrier was idle;
+* :meth:`PhyRadio.on_tx_end` when a record ends, for every radio that
+  can decode it and for the contending or EIFS-flagged radios it
+  reaches — the verdict, the loss draw, delivery and the carrier release.
 
 Half-duplex: a radio that transmits cannot receive, and starting a
-transmission corrupts anything it was in the middle of receiving.
+transmission corrupts anything it was in the middle of receiving.  A
+copy is corrupted when some record overlapping it in time was sent by
+the receiver, or reaches the receiver from within
+``distance * CAPTURE_DISTANCE_RATIO`` (the pairwise capture rule,
+symmetric in which frame started first).
 
 Carrier edges: a busy edge (first impinging energy) and an idle edge
 (channel released) go only to :attr:`PhyRadio.carrier_listener`, which a
@@ -22,18 +34,17 @@ Fault hooks (both absent by default — the seed code path is unchanged):
   the unit-disk collision model cannot produce;
 * a **down** flag (set by :meth:`repro.net.node.Node.fail`) makes the
   radio genuinely deaf and mute: nothing is delivered, and the crashed
-  MAC holds no carrier subscription, while impinging-energy bookkeeping
-  still runs so carrier state is correct when the rebooted MAC next
-  pulls it.
+  MAC holds no carrier subscription.  Carrier state is derived from the
+  medium's records, so it is correct the instant the node recovers.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+import math
+from typing import TYPE_CHECKING, Optional
 
 from repro.geo.vec import Position
 from repro.net.mobility import MobilityModel
-from repro.net.pool import Reception
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
@@ -51,6 +62,9 @@ __all__ = ["PhyRadio"]
 #: least 10**(1/4) ~ 1.778x farther away than the desired transmitter
 #: (the classic NS-2 550 m / 250 m relationship).
 CAPTURE_DISTANCE_RATIO = 10.0 ** 0.25
+
+#: Distance of a radio a record does not reach (never within capture).
+_FAR = math.inf
 
 
 class PhyRadio:
@@ -70,29 +84,8 @@ class PhyRadio:
         self.mobility = mobility
         self.tracer = tracer
         self.mac: Optional["DcfMac"] = None
-        #: The MAC that receives busy/idle edges; ``None`` while it is
-        #: not contending (it then pulls carrier state instead).
-        self.carrier_listener: Optional["DcfMac"] = None
-
-        # Reception bookkeeping comes in two shapes sharing one dict (so
-        # ``carrier_busy`` is representation-agnostic): unpooled, the
-        # seed triple — _impinging maps uid -> Transmission with the
-        # distance and corrupted verdict in the side containers; pooled,
-        # _impinging maps uid -> recycled Reception record that carries
-        # all three fields, and the side containers stay empty.
-        self._pool = medium.frame_pool
-        self._pooled = self._pool is not None
-        self._rec_checked = self._pooled and self._pool.checked
-        #: Inline free list for pool_mode="on": at ~150 receptions per
-        #: broadcast frame a method call per record is measurable, so the
-        #: fast path pops/pushes locally; "cross" routes through the
-        #: pool's checked acquire/release instead.
-        self._rec_free: List[Reception] = []
-        self._impinging: Dict[int, Union[Transmission, Reception]] = {}
-        self._distances: Dict[int, float] = {}
-        self._corrupted: set[int] = set()
-        self._own_tx: Optional[Transmission] = None
-        self._last_ended_corrupted = False
+        self._listener: Optional["DcfMac"] = None
+        self._own_tx: Optional["Transmission"] = None
         #: Channel loss process (``None`` = the unimpaired seed channel).
         self._loss: Optional["LossProcess"] = None
         #: Lifecycle fault flag — managed by :meth:`repro.net.node.Node.fail`.
@@ -101,6 +94,10 @@ class PhyRadio:
         self.frames_delivered = 0
         self.frames_collided = 0
         self.frames_impaired = 0
+        #: Deliverable copies that ended while the radio was down.
+        self.frames_down = 0
+        #: Registration index in the medium (assigned by ``register``).
+        self.row = -1
         medium.register(self)
 
     # ---------------------------------------------------------------- faults
@@ -120,9 +117,23 @@ class PhyRadio:
 
     # --------------------------------------------------------- carrier sense
     @property
+    def carrier_listener(self) -> Optional["DcfMac"]:
+        """The MAC that receives busy/idle edges; ``None`` while it is not
+        contending (it then pulls carrier state instead)."""
+        return self._listener
+
+    @carrier_listener.setter
+    def carrier_listener(self, listener: Optional["DcfMac"]) -> None:
+        self._listener = listener
+        if listener is None:
+            self.medium.listening.pop(self.row, None)
+        else:
+            self.medium.listening[self.row] = self
+
+    @property
     def carrier_busy(self) -> bool:
         """Physical carrier sense: any impinging energy or own transmission."""
-        return bool(self._impinging) or self._own_tx is not None
+        return self._own_tx is not None or self.medium.carrier_at(self.row)
 
     @property
     def transmitting(self) -> bool:
@@ -135,7 +146,7 @@ class PhyRadio:
 
         The MAC uses EIFS instead of DIFS after corrupted receptions.
         """
-        return self._last_ended_corrupted
+        return self.row in self.medium.eifs
 
     # ------------------------------------------------------------ transmit
     def transmit(self, frame, duration: float) -> "Transmission":
@@ -144,156 +155,111 @@ class PhyRadio:
 
     def begin_transmit(self, tx: "Transmission") -> None:
         self._own_tx = tx
-        # Half-duplex: anything being received right now is lost.
-        if self._pooled:
-            for rec in self._impinging.values():
-                rec.corrupted = True
-        else:
-            for uid in self._impinging:
-                self._corrupted.add(uid)
 
     def end_transmit(self, tx: "Transmission") -> None:
         self._own_tx = None
-        listener = self.carrier_listener
-        if listener is not None and not self._impinging:
+        listener = self._listener
+        if listener is not None and not self.medium.carrier_at(self.row):
             listener.on_channel_idle()
 
     # ------------------------------------------------------------ reception
-    def on_tx_start(self, tx: "Transmission", distance: Optional[float] = None) -> None:
-        """A transmission starts impinging on this radio.
+    def on_tx_start(self, tx: "Transmission") -> None:
+        """Record ``tx`` starts reaching this contending radio: a busy
+        edge unless the carrier was already busy (own transmission, or a
+        record that was on the air before ``tx``)."""
+        listener = self._listener
+        if listener is None or self._own_tx is not None:
+            return
+        row = self.row
+        for other in tx.overlaps:
+            if row in other.rx:
+                return
+        listener.on_channel_busy()
 
-        ``distance`` is the receiver-to-sender distance when the medium
-        already classified the fan-out in batch
-        (:class:`~repro.geo.spatial_array.ArraySpatialIndex` feeds the
-        bitwise-identical value); ``None`` recomputes it here exactly as
-        the seed did — the dominant cost of the object path at scale.
+    def on_tx_end(self, tx: "Transmission", deliverable: bool) -> None:
+        """Record ``tx`` has ended and was already taken off the air.
+
+        ``deliverable`` says whether this radio could decode it; the
+        medium also visits contending and EIFS-flagged radios it merely
+        reached, whose carrier may have been released.
         """
-        if distance is None:
-            own_pos = self.position
-            new_distance = own_pos.distance_to(tx.sender_pos)
-        else:
-            new_distance = distance
-        if self._pooled:
-            # carrier_busy inlined (this method runs once per radio per
-            # transmission — the hottest call site in the simulator).
-            impinging = self._impinging
-            own_tx = self._own_tx
-            was_idle = not impinging and own_tx is None
-            # Half-duplex: nothing arriving during our own TX is decodable.
-            new_corrupted = own_tx is not None
-            if impinging:
-                for rec in impinging.values():
-                    other_distance = rec.distance
-                    # Pairwise capture: a reception is ruined only by an
-                    # interferer whose signal is within 10 dB of (or
-                    # stronger than) it.
-                    if new_distance < other_distance * CAPTURE_DISTANCE_RATIO:
-                        rec.corrupted = True
-                    if other_distance < new_distance * CAPTURE_DISTANCE_RATIO:
-                        new_corrupted = True
-            if self._rec_checked:
-                rec = self._pool.acquire_reception(tx, new_distance, new_corrupted)
-            else:
-                free = self._rec_free
-                if free:
-                    rec = free.pop()
-                    rec.tx = tx
-                    rec.distance = new_distance
-                    rec.corrupted = new_corrupted
-                else:
-                    rec = Reception(tx, new_distance, new_corrupted)
-            impinging[tx.uid] = rec
-        else:
-            was_idle = not self.carrier_busy
-            if self._own_tx is not None:
-                # Half-duplex: nothing arriving during our own TX is decodable.
-                self._corrupted.add(tx.uid)
-            for uid, other in self._impinging.items():
-                other_distance = self._distances[uid]
-                # Pairwise capture: a reception is ruined only by an interferer
-                # whose signal is within 10 dB of (or stronger than) it.
-                if new_distance < other_distance * CAPTURE_DISTANCE_RATIO:
-                    self._corrupted.add(uid)
-                if other_distance < new_distance * CAPTURE_DISTANCE_RATIO:
-                    self._corrupted.add(tx.uid)
-            self._impinging[tx.uid] = tx
-            self._distances[tx.uid] = new_distance
-        if was_idle:
-            listener = self.carrier_listener
-            if listener is not None:
-                listener.on_channel_busy()
-
-    def on_tx_end(self, tx: "Transmission") -> None:
-        if self._pooled:
-            rec = self._impinging.pop(tx.uid, None)
-            if rec is None:
-                distance, corrupted = 0.0, False
-            else:
-                distance = rec.distance
-                corrupted = rec.corrupted
-                if self._rec_checked:
-                    self._pool.release_reception(rec)
-                else:
-                    rec.tx = None  # drop the Transmission ref while free
-                    self._rec_free.append(rec)
-        else:
-            self._impinging.pop(tx.uid, None)
-            distance = self._distances.pop(tx.uid, 0.0)
-            corrupted = tx.uid in self._corrupted
-            self._corrupted.discard(tx.uid)
-
         if self.down:
             # A dead radio decodes nothing (and its reset MAC is not
-            # listening).  The energy bookkeeping above still ran, so
-            # carrier_busy is correct the instant the node recovers — and
-            # the loss process is *not* consulted: its stream position is
-            # a pure function of receptions judged while alive.
+            # listening).  The loss process is *not* consulted: its
+            # stream position is a pure function of receptions judged
+            # while alive.
+            if deliverable:
+                self.frames_down += 1
             return
 
-        deliverable = self.node_id in tx.deliverable_to
-        impaired = False
-        if deliverable and self._loss is not None:
-            # The channel-state draw happens for *every* deliverable
-            # reception — independent of interference outcomes — so the
-            # RNG stream position depends only on the traffic pattern.
-            impaired = self._loss.should_drop(distance)
-            if impaired and not corrupted:
-                # The observable damage: a reception that would have been
-                # delivered.  Collided receptions were already lost.
-                self._loss.metrics.deliveries_suppressed += 1
-                self.frames_impaired += 1
-                if self.tracer is not None and self.tracer.enabled_for("phy.fault_drop"):
+        row = self.row
+        corrupted = False
+        if deliverable:
+            distance = tx.rx[row]
+            # Pairwise capture against every record that overlapped this
+            # one: a reception is ruined by an interferer whose signal is
+            # within 10 dB of (or stronger than) it, and half-duplex by
+            # any overlapping frame this radio sent itself.
+            limit = distance * CAPTURE_DISTANCE_RATIO
+            node_id = self.node_id
+            for other in tx.overlaps:
+                if other.sender_id == node_id or other.rx.get(row, _FAR) < limit:
+                    corrupted = True
+                    break
+            impaired = False
+            if self._loss is not None:
+                # The channel-state draw happens for *every* deliverable
+                # reception — independent of interference outcomes — so the
+                # RNG stream position depends only on the traffic pattern.
+                impaired = self._loss.should_drop(distance)
+                if impaired and not corrupted:
+                    # The observable damage: a reception that would have been
+                    # delivered.  Collided receptions were already lost.
+                    self._loss.metrics.deliveries_suppressed += 1
+                    self.frames_impaired += 1
+                    if self.tracer is not None and self.tracer.enabled_for("phy.fault_drop"):
+                        self.tracer.emit(
+                            self.sim.now,
+                            "phy.fault_drop",
+                            node=self.node_id,
+                            frame_uid=tx.frame.uid,
+                            frame_kind=tx.frame.kind.value,
+                            distance=distance,
+                        )
+            if corrupted:
+                self.frames_collided += 1
+                if self.tracer is not None and self.tracer.enabled_for("phy.collision"):
                     self.tracer.emit(
                         self.sim.now,
-                        "phy.fault_drop",
+                        "phy.collision",
                         node=self.node_id,
                         frame_uid=tx.frame.uid,
                         frame_kind=tx.frame.kind.value,
-                        distance=distance,
                     )
-        if deliverable and not corrupted and not impaired:
-            self.frames_delivered += 1
-            if self.mac is not None:
-                self.mac.on_frame(tx.frame, tx)
-        elif deliverable and corrupted:
-            self.frames_collided += 1
-            if self.tracer is not None and self.tracer.enabled_for("phy.collision"):
-                self.tracer.emit(
-                    self.sim.now,
-                    "phy.collision",
-                    node=self.node_id,
-                    frame_uid=tx.frame.uid,
-                    frame_kind=tx.frame.kind.value,
-                )
-        # deliverable and impaired but not corrupted: the frame faded
-        # below sensitivity — neither delivered nor a CRC failure, so the
-        # EIFS decision below treats it like plain channel noise.
+            elif not impaired:
+                self.frames_delivered += 1
+                mac = self.mac
+                if mac is not None:
+                    mac.on_frame(tx.frame, tx)
+            # Impaired but not corrupted: the frame faded below
+            # sensitivity — neither delivered nor a CRC failure, so the
+            # EIFS decision below treats it like plain channel noise.
 
-        if not self._impinging and self._own_tx is None:  # carrier_busy inlined
-            # EIFS applies only after a decodable frame failed its CRC; a
-            # transmission that was merely sensed (out of radio range) is
-            # plain channel noise and releases with a normal DIFS.
-            self._last_ended_corrupted = deliverable and corrupted
-            listener = self.carrier_listener
-            if listener is not None:
-                listener.on_channel_idle()
+        if self._own_tx is not None:
+            return
+        medium = self.medium
+        for other in medium.active:  # carrier_at inlined: once per visit
+            if row in other.rx:
+                return
+        # The channel is released.  EIFS applies only after a decodable
+        # frame failed its CRC; a transmission that was merely sensed
+        # (out of radio range) is plain channel noise and releases with
+        # a normal DIFS.
+        eifs = medium.eifs
+        if corrupted:
+            eifs[row] = self
+        elif row in eifs:
+            del eifs[row]
+        listener = self._listener
+        if listener is not None:
+            listener.on_channel_idle()

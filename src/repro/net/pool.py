@@ -1,18 +1,10 @@
-"""Frame / reception-record pooling for the PHY/MAC hot path.
+"""MAC frame pooling for the PHY/MAC hot path.
 
-Every transmission allocates a :class:`~repro.net.mac.frames.MacFrame`,
-and every radio it impinges on allocates per-reception bookkeeping.  At
-150 nodes a broadcast frame touches ~everyone, so the reception-side
-churn dominates: ~150 receptions per frame, each previously spread over
-*two* dicts plus a set in :class:`~repro.net.phy.PhyRadio`.  This module
-provides:
-
-* :class:`Reception` — one consolidated record (transmission, distance,
-  corrupted flag) replacing the ``_impinging``/``_distances``/
-  ``_corrupted`` triple, recycled through small per-radio free lists;
-* :class:`FramePool` — a free list of ``MacFrame`` objects with
-  generation-stamped recycling, so MAC frames stop being a per-attempt
-  allocation.
+Every transmission needs a :class:`~repro.net.mac.frames.MacFrame`.
+:class:`FramePool` keeps a free list of them with generation-stamped
+recycling, so MAC frames stop being a per-attempt allocation.  (Reception
+bookkeeping needs no pool: each transmission is one record owned by the
+medium, see :mod:`repro.net.medium`.)
 
 Byte-identity contract
 ----------------------
@@ -25,29 +17,26 @@ consumes exactly one uid, and the uid sequence — which appears in traces
 
 Generation stamps
 -----------------
-Every pooled object carries a ``generation``: positive while live
+Every pooled frame carries a ``generation``: positive while live
 (stamped at acquire from a monotone counter), negated at release.  A
 double release therefore raises :class:`PoolCoherenceError` in every
-mode, and holders that cache a record across a release can detect the
+mode, and holders that cache a frame across a release can detect the
 recycling by comparing stamps.  ``mode="cross"`` additionally scrubs
 payload fields at release and verifies the scrub at the next acquire —
-catching writes to freed objects — while the end-to-end proof (traces
+catching writes to freed frames — while the end-to-end proof (traces
 byte-identical with the pool on, off, and cross) lives in
 ``tests/test_frame_pool.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.net.addresses import MacAddress
 from repro.net.mac.frames import FrameKind, MacFrame, next_frame_uid
 from repro.net.packet import Packet
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.medium import Transmission
-
-__all__ = ["FramePool", "Reception", "PoolCoherenceError", "POOL_MODES", "validate_pool_mode"]
+__all__ = ["FramePool", "PoolCoherenceError", "POOL_MODES", "validate_pool_mode"]
 
 POOL_MODES = ("off", "on", "cross")
 
@@ -63,41 +52,16 @@ class PoolCoherenceError(AssertionError):
     """A pooled object was released twice, or mutated while free."""
 
 
-class Reception:
-    """Per-(radio, transmission) reception bookkeeping, pool-recycled.
-
-    Consolidates what the unpooled :class:`~repro.net.phy.PhyRadio` keeps
-    in three containers: the impinging transmission, the
-    receiver-to-sender distance, and the corrupted verdict.
-    """
-
-    __slots__ = ("tx", "distance", "corrupted", "generation")
-
-    def __init__(
-        self,
-        tx: Optional["Transmission"] = None,
-        distance: float = 0.0,
-        corrupted: bool = False,
-    ) -> None:
-        self.tx = tx
-        self.distance = distance
-        self.corrupted = corrupted
-        self.generation = 0
-
-
 class FramePool:
-    """Free lists with generation-stamped recycling (one per medium).
+    """A frame free list with generation-stamped recycling (one per medium).
 
     ``mode`` is ``"on"`` (recycle) or ``"cross"`` (recycle + scrub/verify
-    every object across the free boundary).  ``"off"`` never constructs a
+    every frame across the free boundary).  ``"off"`` never constructs a
     pool at all — the medium holds ``None`` and every consumer runs the
     exact pre-pool allocation path.
     """
 
-    __slots__ = (
-        "mode", "checked", "_frames", "_recs", "_generation",
-        "frames_reused", "frames_created", "recs_reused", "recs_created",
-    )
+    __slots__ = ("mode", "checked", "_frames", "_generation", "frames_reused", "frames_created")
 
     def __init__(self, mode: str = "on") -> None:
         validate_pool_mode(mode)
@@ -106,12 +70,9 @@ class FramePool:
         self.mode = mode
         self.checked = mode == "cross"
         self._frames: List[MacFrame] = []
-        self._recs: List[Reception] = []
         self._generation = 0
         self.frames_reused = 0
         self.frames_created = 0
-        self.recs_reused = 0
-        self.recs_created = 0
 
     # -------------------------------------------------------------- frames
     def acquire_frame(
@@ -163,48 +124,11 @@ class FramePool:
             frame.nav = 0.0
         self._frames.append(frame)
 
-    # ----------------------------------------------------------- receptions
-    def acquire_reception(
-        self, tx: "Transmission", distance: float, corrupted: bool
-    ) -> Reception:
-        """Checked-mode reception acquire (the ``"on"`` fast path inlines
-        the free-list pop in :class:`~repro.net.phy.PhyRadio` instead)."""
-        free = self._recs
-        if free:
-            rec = free.pop()
-            if self.checked and (
-                rec.generation >= 0 or rec.tx is not None or rec.corrupted
-            ):
-                raise PoolCoherenceError("freed reception record was mutated while in the pool")
-            self.recs_reused += 1
-        else:
-            rec = Reception()
-            self.recs_created += 1
-        self._generation += 1
-        rec.generation = self._generation
-        rec.tx = tx
-        rec.distance = distance
-        rec.corrupted = corrupted
-        return rec
-
-    def release_reception(self, rec: Reception) -> None:
-        """Checked-mode reception release (scrubs payload fields)."""
-        if rec.generation < 0:
-            raise PoolCoherenceError("reception record released twice")
-        rec.generation = -(rec.generation or 1)
-        rec.tx = None
-        rec.distance = 0.0
-        rec.corrupted = False
-        self._recs.append(rec)
-
     # ------------------------------------------------------------ telemetry
     def stats(self) -> dict:
         """Reuse/creation counters (benchmarks and tests read these)."""
         return {
             "frames_reused": self.frames_reused,
             "frames_created": self.frames_created,
-            "recs_reused": self.recs_reused,
-            "recs_created": self.recs_created,
             "frames_free": len(self._frames),
-            "recs_free": len(self._recs),
         }

@@ -180,7 +180,7 @@ class ShardBridge:
         self._worker = worker
         self.outgoing: List[GhostTx] = []
 
-    def note_local_tx(self, tx, frame, affected, finish_event) -> None:
+    def note_local_tx(self, tx, frame, finish_event) -> None:
         worker = self._worker
         worker.inflight.append((finish_event, tx.sender_pos.x))
         exec_key = worker.sim._exec_key
@@ -690,8 +690,7 @@ class ShardWorker:
                 )
 
             def _finish(cell=cell) -> None:
-                tx, affected = cell["v"]
-                medium.apply_ghost_finish(tx, affected)
+                medium.apply_ghost_finish(cell["v"])
 
             sim.insert_ghost(g.start_key, _start, "phy.ghost_start")
             finish_event = sim.insert_ghost(g.finish_key, _finish, "phy.tx_end")
@@ -776,6 +775,7 @@ class ShardWorker:
         injector = self.scenario.fault_injector
         if injector is not None:
             injector.finalize(self.sim.now)
+        self.scenario.medium.check_reception_ledger()
         stats: Dict[int, Dict[str, int]] = {}
         collisions = 0
         for node in self.scenario.nodes:

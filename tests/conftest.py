@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import pytest
+from hypothesis import settings
 
 from repro.core.agfw import AgfwRouter
 from repro.core.config import AgfwConfig
@@ -21,6 +23,14 @@ from repro.routing.gpsr import GpsrConfig, GpsrRouter
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
+
+# CI runners are slow and shared: examples are derived from each test
+# (reproducible failures, no flaky example search) and no example is
+# failed for exceeding hypothesis's 200 ms default deadline.  CI systems
+# set the CI environment variable.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Frame/reception pooling: generation semantics + trace equivalence.
+"""Frame pooling: generation semantics + trace equivalence.
 
 Pooling is only admissible because it is *outcome-invisible*: each
 acquire draws exactly one uid from the same module counter as direct
@@ -20,7 +20,6 @@ from repro.net.pool import (
     POOL_MODES,
     FramePool,
     PoolCoherenceError,
-    Reception,
     validate_pool_mode,
 )
 
@@ -93,25 +92,6 @@ def test_cross_mode_detects_write_after_free():
         pool.acquire_frame(FrameKind.DATA, MacAddress(1), BROADCAST)
 
 
-def test_cross_mode_reception_scrub_roundtrip():
-    pool = FramePool("cross")
-    rec = pool.acquire_reception(object(), 42.0, True)
-    assert rec.generation > 0
-    pool.release_reception(rec)
-    assert rec.tx is None and rec.distance == 0.0 and rec.corrupted is False
-    with pytest.raises(PoolCoherenceError):
-        pool.release_reception(rec)
-    rec2 = pool.acquire_reception(object(), 7.0, False)
-    assert rec2 is rec  # recycled through the scrub check
-    assert pool.stats()["recs_reused"] == 1
-
-
-def test_reception_defaults():
-    rec = Reception()
-    assert rec.tx is None and rec.distance == 0.0
-    assert rec.corrupted is False and rec.generation == 0
-
-
 # ------------------------------------------------------- scenario level
 def _fingerprint(pool_mode: str, seed: int) -> list:
     scenario = Scenario(
@@ -160,4 +140,3 @@ def test_pool_actually_recycles_in_a_scenario():
     scenario.run()
     stats = scenario.medium.frame_pool.stats()
     assert stats["frames_reused"] > 0  # the free list did real work
-    assert stats["recs_reused"] == 0  # "on" keeps receptions in per-radio lists

@@ -301,3 +301,46 @@ def test_only_contending_macs_hold_the_carrier_subscription(
     result = scenario.run()
     assert checked["events"] > 0 and result.frames_on_air > 0
     assert checked["listening"] > 0  # some MAC actually contended
+
+
+def test_reboot_within_sifs_of_cts_sends_no_stray_data():
+    """A CTS schedules the DATA one SIFS later.  If the node crashes and
+    reboots inside that SIFS and starts a new op, the stale event must
+    not send the new op's DATA without its own RTS, nor leave the new
+    op's DIFS timer armed outside CONTEND."""
+    sim, tracer, (a, b) = _net([Position(0, 0), Position(100, 0)])
+    original = a.mac.on_frame
+    sent_after_reboot = []
+    probes = []
+
+    def _probe():
+        # Just after the stale SIFS event, inside the new op's DIFS.
+        mac = a.mac
+        armed = mac._difs_timer is not None or mac._slot_timer is not None
+        probes.append((mac._state, armed))
+
+    def _reboot_and_send():
+        a.fail()
+        a.recover()
+        a.mac.send(_Data(payload_bytes=64), b.address)
+        sent_after_reboot.append("reboot")
+        sim.schedule(DEFAULT_DOT11.sifs, _probe)
+
+    def _on_frame(frame, tx):
+        original(frame, tx)
+        if frame.kind is FrameKind.CTS and not sent_after_reboot:
+            sim.schedule(DEFAULT_DOT11.sifs / 2, _reboot_and_send)
+
+    def _transmit(frame, duration, _transmit=a.phy.transmit):
+        if sent_after_reboot:
+            sent_after_reboot.append(frame.kind)
+        return _transmit(frame, duration)
+
+    a.mac.on_frame = _on_frame
+    a.phy.transmit = _transmit
+    sim.schedule(0.1, lambda: a.mac.send(_Data(payload_bytes=64), b.address))
+    sim.run(until=1.0)
+    assert probes == [(MacState.CONTEND, True)]
+    # The new op runs its own handshake and is delivered.
+    assert sent_after_reboot == ["reboot", FrameKind.RTS, FrameKind.DATA]
+    assert b.mac.stats.delivered_up == 1

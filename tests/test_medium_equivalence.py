@@ -96,7 +96,7 @@ def test_radios_property_is_live_registration_order_view():
     assert list(medium.radios) == radios + [extra]  # live view, not a snapshot
 
 
-def test_transmission_membership_fields_are_sets():
+def test_transmission_record_maps_reach_and_decodability():
     sim = Simulator()
     medium = RadioMedium(sim)
     radios = [
@@ -105,13 +105,18 @@ def test_transmission_membership_fields_are_sets():
     ]
     frame = MacFrame(FrameKind.DATA, MacAddress(1), BROADCAST)
     tx = medium.transmit(radios[0], frame, 1e-4)
-    assert isinstance(tx.deliverable_to, set)
-    assert isinstance(tx.corrupted_at, set)
-    assert tx.deliverable_to == {1, 2}
+    # The record maps every radio it reaches (by registration row) to its
+    # distance, and lists the decodable ones, both in registration order.
+    assert tx.rx == {1: 100.0, 2: 200.0}
+    assert tx.deliverable == [radios[1], radios[2]]
     sim.run()
 
 
 # -------------------------------------------------------- static fan-out memo
+def _decodes(tx):
+    return {radio.node_id for radio in tx.deliverable}
+
+
 def _bare_medium(index_mode="grid"):
     sim = Simulator()
     medium = RadioMedium(sim, index_mode=index_mode)
@@ -129,7 +134,9 @@ def test_static_fanout_memo_reused_and_identical():
     sim.run()
     second = medium.transmit(radios[0], frame, 1e-4)
     sim.run()
-    assert second.deliverable_to == first.deliverable_to
+    # A memo hit hands the next record the very same (read-only) fan-out.
+    assert second.rx is first.rx
+    assert second.deliverable is first.deliverable
     # The memo hit skips the index gather entirely: no new cache activity
     # beyond the first transmission's.
     stats = medium.index_stats()
@@ -141,12 +148,12 @@ def test_teleport_invalidates_static_fanout_memo():
     frame = MacFrame(FrameKind.DATA, MacAddress(1), BROADCAST)
     first = medium.transmit(radios[0], frame, 1e-4)
     sim.run()
-    assert first.deliverable_to == {1}  # only the 200 m neighbour decodes
+    assert _decodes(first) == {1}  # only the 200 m neighbour decodes
     # Teleport radio 3 from 600 m (out of range) to 100 m (in range).
     radios[3].mobility.move_to(Position(100.0, 0.0))
     second = medium.transmit(radios[0], frame, 1e-4)
     sim.run()
-    assert second.deliverable_to == {1, 3}
+    assert _decodes(second) == {1, 3}
 
 
 def test_memo_disabled_while_any_radio_mobile_cross_checked():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.geo.vec import Position
 from repro.net.addresses import BROADCAST, mac_for_node
@@ -281,3 +284,174 @@ def test_own_end_transmit_withholds_idle_edge_while_energy_remains():
     # b's energy arrives mid-transmission (no busy edge: a was already
     # busy with its own frame); a's release waits for b's frame to end.
     assert listener.edges == ["idle"]
+
+
+# ------------------------------------------------- reference-model property
+#: Time unit of the property test: a power of two, so every start and end
+#: time is an exact float and ties are real ties.
+_UNIT = 2.0 ** -14
+
+
+def _reference(positions, down, listener, txs):
+    """Brute-force model of the channel: every radio a frame reaches is
+    updated incrementally at every start and end, in event order (ends
+    before starts at equal times, then scheduling order), with pairwise
+    capture and half-duplex marked as each overlap begins."""
+    def d2(r, s):
+        dx = positions[r][0] - positions[s][0]
+        dy = positions[r][1] - positions[s][1]
+        return dx * dx + dy * dy
+
+    def dist(r, s):
+        return math.hypot(positions[r][0] - positions[s][0], positions[r][1] - positions[s][1])
+
+    n = len(positions)
+    reach = [{r for r in range(n) if r != s and d2(r, s) <= 550.0 ** 2} for s, _, _ in txs]
+    events = sorted(
+        [(start, 1, i) for i, (_, start, _) in enumerate(txs)]
+        + [(end, 0, i) for i, (_, _, end) in enumerate(txs)]
+    )
+    active, corrupt = [], set()
+    delivered, collided, missed = [], [0] * n, 0
+    edges, eifs = [], [False] * n
+
+    def transmitting(r):
+        return any(txs[j][0] == r for j in active)
+
+    def covered(r):
+        return any(r in reach[j] for j in active)
+
+    for t, kind, i in events:
+        s = txs[i][0]
+        if kind == 1:
+            if listener in reach[i] and not transmitting(listener) and not covered(listener):
+                edges.append((t, "busy"))
+            for j in active:
+                if s in reach[j]:
+                    corrupt.add((j, s))  # the sender goes deaf
+            for r in reach[i]:
+                if transmitting(r):
+                    corrupt.add((i, r))
+                for j in active:
+                    if r in reach[j]:
+                        new, old = dist(r, s), dist(r, txs[j][0])
+                        if new < old * CAPTURE_DISTANCE_RATIO:
+                            corrupt.add((j, r))
+                        if old < new * CAPTURE_DISTANCE_RATIO:
+                            corrupt.add((i, r))
+            active.append(i)
+            continue
+        active.remove(i)
+        if s == listener and not covered(s):
+            edges.append((t, "idle"))
+        for r in sorted(reach[i]):
+            deliverable = d2(r, s) <= 250.0 ** 2
+            if r == down:
+                missed += deliverable
+                continue
+            bad = deliverable and (i, r) in corrupt
+            if bad:
+                collided[r] += 1
+            elif deliverable:
+                delivered.append((t, r, s))
+            if not transmitting(r) and not covered(r):
+                eifs[r] = bad
+                if r == listener:
+                    edges.append((t, "idle"))
+    return delivered, collided, missed, edges, eifs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    positions=st.lists(
+        st.tuples(st.integers(0, 900), st.integers(0, 120)), min_size=3, max_size=6, unique=True
+    ),
+    down=st.integers(0, 5),
+    listener=st.integers(0, 5),
+    plan=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 40), st.integers(1, 20)),
+        min_size=1,
+        max_size=12,
+    ),
+    spatial_mode=st.sampled_from(["obj", "array"]),
+)
+def test_medium_matches_brute_force_reference(positions, down, listener, plan, spatial_mode):
+    """Random overlapping broadcasts over a few static radios (one down,
+    one with a subscribed listener): every copy's delivered/collided
+    verdict, the listener's busy/idle edges and the final EIFS flags
+    match the incremental brute-force reference."""
+    n = len(positions)
+    down, listener = down % n, listener % n
+    assume(down != listener)
+    # A radio sends one frame at a time, and a down radio sends nothing.
+    txs, free_at = [], [0] * n
+    for sender, start, length in sorted(plan, key=lambda p: p[1]):
+        sender %= n
+        if sender != down and start >= free_at[sender]:
+            txs.append((sender, start, start + length))
+            free_at[sender] = start + length
+    assume(txs)
+
+    sim = Simulator()
+    medium = RadioMedium(sim, spatial_mode=spatial_mode)
+    radios = [
+        PhyRadio(sim, i, medium, StaticMobility(Position(float(x), float(y))))
+        for i, (x, y) in enumerate(positions)
+    ]
+    delivered = []
+
+    class _Mac:
+        def __init__(self, node_id):
+            self.node_id = node_id
+
+        def on_frame(self, frame, tx):
+            delivered.append((round(sim.now / _UNIT), self.node_id, tx.sender_id))
+
+    for radio in radios:
+        radio.mac = _Mac(radio.node_id)
+    radios[down].down = True
+    edges = []
+
+    class _Listener:
+        def on_channel_busy(self):
+            edges.append((round(sim.now / _UNIT), "busy"))
+
+        def on_channel_idle(self):
+            edges.append((round(sim.now / _UNIT), "idle"))
+
+    radios[listener].carrier_listener = _Listener()
+    for sender, start, end in txs:
+        sim.schedule(
+            start * _UNIT,
+            lambda s=sender, d=(end - start) * _UNIT: radios[s].transmit(_frame(s), d),
+        )
+    sim.run()
+
+    ref_delivered, ref_collided, ref_missed, ref_edges, ref_eifs = _reference(
+        positions, down, listener, txs
+    )
+    assert delivered == ref_delivered
+    assert [r.frames_collided for r in radios] == ref_collided
+    assert radios[down].frames_down == ref_missed
+    assert edges == ref_edges
+    assert [r.last_reception_corrupted for r in radios] == ref_eifs
+    assert not any(r.carrier_busy for r in radios)
+    medium.check_reception_ledger()
+
+
+def test_reception_ledger_raises_on_imbalance():
+    """Scenario.run checks the reception ledger at the end of every run:
+    a counter that loses a copy makes the run raise."""
+    from repro.experiments.scenario import Scenario, ScenarioConfig
+    from repro.net.medium import ReceptionLedgerError
+
+    scenario = Scenario(
+        ScenarioConfig(protocol="agfw", num_nodes=8, sim_time=1.0, seed=3)
+    )
+
+    def _lose_a_copy():
+        scenario.nodes[0].phy.frames_delivered -= 1
+
+    scenario.sim.schedule(0.5, _lose_a_copy)
+    with pytest.raises(ReceptionLedgerError):
+        scenario.run()

@@ -14,6 +14,10 @@ renumbered in order of first appearance: the digest pins which records
 refer to the same frame or packet without depending on what ran earlier
 in the process.
 
+Every pin must hold on every fan-out backend (``spatial_mode`` obj or
+array, ``pool_mode`` off or on): the object scan, the batched array
+classification and the static memo all feed the same reception record.
+
 The pins were recorded before the contention-gated carrier edges went
 in, and a pure speed-up or refactor must leave them unchanged.  Only a
 deliberate model fix may re-pin them, and the change that does so must
@@ -40,7 +44,19 @@ PINS = {
 }
 
 
-def _config(name: str) -> ScenarioConfig:
+#: The (spatial_mode, pool_mode) pair ``ScenarioConfig`` defaults to.
+DEFAULT_BACKEND = ("array", "on")
+
+#: The other (spatial_mode, pool_mode) pairs every pin is also checked under.
+OTHER_BACKENDS = [
+    (spatial, pool)
+    for spatial in ("obj", "array")
+    for pool in ("off", "on")
+    if (spatial, pool) != DEFAULT_BACKEND
+]
+
+
+def _config(name: str, spatial_mode: str = "array", pool_mode: str = "on") -> ScenarioConfig:
     base = dict(
         num_nodes=50,
         width=1500.0,
@@ -54,6 +70,8 @@ def _config(name: str) -> ScenarioConfig:
         pause_time=0.0,
         min_speed=5.0,
         keep_trace=True,
+        spatial_mode=spatial_mode,
+        pool_mode=pool_mode,
     )
     if name == "agfw":
         return ScenarioConfig(protocol="agfw", **base)
@@ -85,9 +103,9 @@ def _canonical(value, uid_maps: Dict[str, Dict[object, int]], key: str) -> str:
     return ""  # live objects (e.g. the packet itself) carry no stable bytes
 
 
-def trace_digest(name: str) -> str:
+def trace_digest(name: str, spatial_mode: str = "array", pool_mode: str = "on") -> str:
     """Run scenario ``name`` and digest its trace and result counters."""
-    scenario = Scenario(_config(name))
+    scenario = Scenario(_config(name, spatial_mode, pool_mode))
     result = scenario.run()
     records = scenario.tracer.records
     assert records, "keep_trace scenario must retain records"
@@ -121,4 +139,11 @@ def trace_digest(name: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_trace_digest_pinned(name):
-    assert trace_digest(name) == PINS[name]
+    assert (ScenarioConfig.spatial_mode, ScenarioConfig.pool_mode) == DEFAULT_BACKEND
+    assert trace_digest(name, *DEFAULT_BACKEND) == PINS[name]
+
+
+@pytest.mark.parametrize("spatial_mode,pool_mode", OTHER_BACKENDS)
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_trace_digest_pinned_other_backends(name, spatial_mode, pool_mode):
+    assert trace_digest(name, spatial_mode, pool_mode) == PINS[name]
